@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.buildcache.cache import BuildCache
-from repro.evalsuite.runner import EvaluationRunner
+from repro.evalsuite.runner import EvaluationSession
 from repro.workload.corpus import CorpusSpec, build_corpus
 
 CACHE_BENCH_COMMITS = 200
@@ -33,19 +33,19 @@ def cache_corpus():
 
 def test_perf_cache_warm_speedup(cache_corpus, record_artifact):
     t0 = time.perf_counter()
-    uncached = EvaluationRunner(cache_corpus, cache=False).run()
+    uncached = EvaluationSession(cache_corpus, cache=False).run()
     t_uncached = time.perf_counter() - t0
 
     cache = BuildCache()
     t0 = time.perf_counter()
-    cold = EvaluationRunner(cache_corpus, cache=cache).run()
+    cold = EvaluationSession(cache_corpus, cache=cache).run()
     t_cold = time.perf_counter() - t0
 
     # best-of-two warm passes to keep the ratio robust to machine noise
     warm_times = []
     for _ in range(2):
         t0 = time.perf_counter()
-        warm = EvaluationRunner(cache_corpus, cache=cache).run()
+        warm = EvaluationSession(cache_corpus, cache=cache).run()
         warm_times.append(time.perf_counter() - t0)
     t_warm = min(warm_times)
 

@@ -6,20 +6,20 @@ Python. See README.md for a tour and DESIGN.md for the inventory.
 
 The most common entry points:
 
->>> from repro import JMake, generate_tree
+>>> from repro import CheckSession, generate_tree
 >>> tree = generate_tree()
->>> jmake = JMake.from_generated_tree(tree)
+>>> session = CheckSession.from_generated_tree(tree)
 
 and, for the evaluation pipeline:
 
->>> from repro import CorpusSpec, EvaluationRunner, build_corpus
+>>> from repro import CorpusSpec, EvaluationSession, build_corpus
 >>> corpus = build_corpus(CorpusSpec(eval_commits=100))
->>> result = EvaluationRunner(corpus).run()
+>>> result = EvaluationSession(corpus).run()
 """
 
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.report import FileReport, FileStatus, PatchReport
-from repro.evalsuite.runner import EvaluationResult, EvaluationRunner
+from repro.evalsuite.runner import EvaluationResult, EvaluationSession
 from repro.kernel.generator import GeneratedTree, generate_tree
 from repro.kernel.layout import HazardKind, TreeSpec, default_tree_spec
 from repro.workload.corpus import Corpus, CorpusSpec, build_corpus
@@ -27,15 +27,15 @@ from repro.workload.corpus import Corpus, CorpusSpec, build_corpus
 __version__ = "1.0.0"
 
 __all__ = [
+    "CheckSession",
     "Corpus",
     "CorpusSpec",
     "EvaluationResult",
-    "EvaluationRunner",
+    "EvaluationSession",
     "FileReport",
     "FileStatus",
     "GeneratedTree",
     "HazardKind",
-    "JMake",
     "JMakeOptions",
     "PatchReport",
     "TreeSpec",

@@ -21,11 +21,6 @@ Four tiers:
 - **re-exports** — the data types and helpers user scripts legitimately
   touch (reports, corpus construction, tables/figures, observability,
   fault plans, store filters).
-
-The old scattered entry points (``repro.core.jmake.JMake``,
-``repro.evalsuite.runner.EvaluationRunner``, and direct
-``repro.service``/``repro.journal`` access to the watch/store types)
-still work but emit ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from __future__ import annotations
 from repro.analysis.deadblocks import BlockVerdict, DeadBlockAnalyzer
 from repro.buildcache.cache import BuildCache, CachePolicy
 from repro.core.changes import extract_changed_files
-from repro.core.jmake import CheckSession, JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.mutation import MutationEngine, MutationOverlay
 from repro.core.report import (
     SCHEMA_VERSION,
@@ -74,7 +69,6 @@ from repro.evalsuite.figures import figure5_overall
 from repro.evalsuite.reportdoc import write_markdown_report
 from repro.evalsuite.runner import (
     EvaluationResult,
-    EvaluationRunner,
     EvaluationSession,
     scaled_criteria,
 )
@@ -219,8 +213,6 @@ __all__ = [
     "parse_openmetrics", "read_jsonl", "render_openmetrics",
     "sanitized_metrics",
     "collect_substrate_metrics", "set_substrate_event_hook",
-    # deprecated shims (still exported so old code keeps importing)
-    "JMake", "EvaluationRunner",
     # data types and helpers
     "ActivityAnalyzer", "BlockVerdict", "BuildCache", "BuildSystem",
     "CachePolicy", "Config", "Corpus", "CorpusSpec", "DeadBlockAnalyzer",

@@ -18,16 +18,16 @@ Pipeline (paper §III):
 """
 
 from repro.core.changes import ChangedFile, extract_changed_files
-from repro.core.jmake import JMake, JMakeOptions
+from repro.core.jmake import CheckSession, JMakeOptions
 from repro.core.mutation import MutationEngine, MutationPlan
 from repro.core.report import FileReport, FileStatus, PatchReport
 from repro.core.sourcemap import LineClass, SourceMap
 
 __all__ = [
     "ChangedFile",
+    "CheckSession",
     "FileReport",
     "FileStatus",
-    "JMake",
     "JMakeOptions",
     "LineClass",
     "MutationEngine",

@@ -12,7 +12,7 @@ table and figure of the paper's §V.
 
 from repro.evalsuite.runner import (
     EvaluationResult,
-    EvaluationRunner,
+    EvaluationSession,
     FileInstanceRecord,
     PatchRecord,
 )
@@ -21,7 +21,7 @@ from repro.evalsuite.stats import Cdf
 __all__ = [
     "Cdf",
     "EvaluationResult",
-    "EvaluationRunner",
+    "EvaluationSession",
     "FileInstanceRecord",
     "PatchRecord",
 ]

@@ -652,16 +652,3 @@ class EvaluationSession:
             used_defconfig=used_defconfig,
             hazard_kinds=hazard_kinds,
         )
-
-
-class EvaluationRunner(EvaluationSession):
-    """Deprecated pre-``repro.api`` name of :class:`EvaluationSession`."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        import warnings
-        warnings.warn(
-            "EvaluationRunner is deprecated; use "
-            "repro.api.EvaluationSession (or the repro.api.evaluate "
-            "helper)",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)

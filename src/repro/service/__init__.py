@@ -41,36 +41,3 @@ __all__ = [
     "live_transports",
     "shard_index",
 ]
-
-#: watch-daemon names that briefly lived on this package during the
-#: fleet-mode sweep; the supported import surface is ``repro.api``.
-#: (``watch`` itself is absent: that name is the submodule, which
-#: Python binds on the package at import time, shadowing __getattr__.)
-_DEPRECATED_WATCH_NAMES = (
-    "SyntheticTrafficSource",
-    "WatchConfig",
-    "WatchResult",
-    "WatchSession",
-    "WindowSource",
-)
-
-
-def __getattr__(name: str):
-    """Deprecated access to the watch types via ``repro.service``.
-
-    Mirrors the PR-4 ``JMake``/``EvaluationRunner`` pattern: the old
-    spelling keeps working, warns once per call site, and returns the
-    canonical object — so ``repro.service.WatchSession is
-    repro.api.WatchSession`` holds.
-    """
-    if name in _DEPRECATED_WATCH_NAMES:
-        import warnings
-
-        from repro.service import watch as _watch_module
-        warnings.warn(
-            f"repro.service.{name} is deprecated; import {name} from "
-            f"repro.api (the stable facade)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(_watch_module, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,7 @@ config/certify units on the owning arch shard — while the ``mp`` and
 ``socket`` transports ship whole commit assignments to warm worker
 processes over the wire codec. Every check is a pure function of
 (corpus, commit), so the differential suite pins all three transports
-byte-identical to the sequential ``EvaluationRunner``.
+byte-identical to the sequential ``EvaluationSession``.
 
 Admission control: ``submit()`` awaits a bounded slot (backpressure),
 ``submit_nowait()`` raises :class:`~repro.errors.
@@ -98,9 +98,6 @@ class ServiceConfig:
     #: timeseries.Snapshotter`); started/stopped with the service when
     #: it carries an interval, sampled once at drain either way
     snapshotter: object = None
-    #: run the shard supervisor (crash/hang detection, restarts,
-    #: circuit breaking); off only for tests that want a bare pool
-    supervise: bool = True
     #: supervisor tunables (None -> SupervisorConfig defaults; remote
     #: transports substitute a remote-scale hang deadline when unset)
     supervisor: "SupervisorConfig | None" = None
@@ -239,7 +236,6 @@ class CheckService:
         self.transport = None
         self._pool = None
         self._batcher = None
-        self._supervisor = None
         self._admission: "asyncio.Semaphore | None" = None
         self._requests: set = set()
         self._started = False
@@ -257,10 +253,9 @@ class CheckService:
         await self.transport.start()
         track_live(self.transport)
         # back-compat views for the in-process backend (stats/tests
-        # reach for the pool/batcher/supervisor directly)
+        # reach for the pool/batcher directly)
         self._pool = getattr(self.transport, "pool", None)
         self._batcher = getattr(self.transport, "batcher", None)
-        self._supervisor = getattr(self.transport, "supervisor", None)
         self._admission = asyncio.Semaphore(
             self.config.max_pending_requests)
         if self.snapshotter is not None and \
@@ -272,8 +267,7 @@ class CheckService:
                          shards=self.config.shards,
                          batch_limit=self.config.batch_limit,
                          transport=self.config.transport,
-                         supervised=self._supervisor is not None
-                         or self.config.transport != "asyncio")
+                         supervised=True)
         _logger.info("service started: transport=%s shards=%d "
                      "batch_limit=%d", self.config.transport,
                      self.config.shards, self.config.batch_limit)

@@ -19,18 +19,18 @@ shard's queue (idempotent — crashes fire before the job runs, so
 nothing is replayed; verdict exactly-once is additionally guaranteed by
 the journal ledger's dedup keys), the abandoned ``queue.get()`` is
 settled so ``queue.join()`` stays balanced, and the worker restarts
-under an exponential-backoff restart budget. When the budget is
-exhausted the shard's **circuit breaker** opens: its queue is drained
-inline (the degraded sequential ``run_units`` driver), and from then on
+after an exponential backoff. When the shard's restart budget is
+spent its **circuit breaker** opens: its queue is drained inline (the
+degraded sequential ``run_units`` driver), and from then on
 :meth:`ArchShard.enqueue` runs every job inline. Requests lose
 pipelining on that shard but never results.
 
-State machine (per shard)::
-
-    RUNNING --crash/hang--> RECOVERING --budget left--> RUNNING
-                                |
-                                +--budget exhausted--> BREAKER_OPEN
-                                                        (terminal)
+Every decision — requeue once, restart or break, the backoff delay,
+the counters, events and log lines — is the shared
+:class:`~repro.service.supervision.Supervision` machine, the same code
+the process-backed transports run; this module only polls, cancels,
+sleeps and restarts. :class:`SupervisorConfig` (the tunables of both)
+lives here.
 """
 
 from __future__ import annotations
@@ -38,19 +38,9 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.obs.events import (
-    EVENT_SHARD_BREAKER_OPEN,
-    EVENT_SHARD_CRASH,
-    EVENT_SHARD_HANG,
-    EVENT_SHARD_INLINE_DRAIN,
-    EVENT_SHARD_RESTART,
-    NULL_EVENTS,
-)
-from repro.obs.logcfg import get_logger
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.events import EVENT_SHARD_INLINE_DRAIN
 from repro.obs.tracer import NULL_TRACER
-
-_logger = get_logger("service.supervisor")
+from repro.service.supervision import OpenBreaker, Supervision
 
 
 @dataclass
@@ -92,22 +82,20 @@ class SupervisorConfig:
         return min(delay, self.backoff_max_seconds)
 
 
-class ShardSupervisor:
-    """Watches shard workers, revives them, opens breakers."""
+class ShardSupervisor(Supervision):
+    """Drives the :class:`~repro.service.supervision.Supervision`
+    machine over an in-process shard pool: polls liveness, cancels
+    hung tasks, sleeps the backoff, restarts workers, drains broken
+    shards inline."""
 
     def __init__(self, pool, *, config: SupervisorConfig | None = None,
                  metrics=None, tracer=None, events=None) -> None:
+        super().__init__(pool.shards, config or SupervisorConfig(),
+                         name="shard {} worker", metrics=metrics,
+                         events=events)
         self.pool = pool
-        self.config = config or SupervisorConfig()
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.events = events if events is not None else NULL_EVENTS
         self._task: "asyncio.Task | None" = None
-        self.crashes_detected = 0
-        self.hangs_detected = 0
-        self.restarts = 0
-        self.requeued_jobs = 0
-        self.breakers_opened = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -146,49 +134,27 @@ class ShardSupervisor:
                 self._drain_inline(shard)
                 continue
             task = shard.task
+            request_id = getattr(shard.claimed, "request_id", None)
             if task is not None and task.done():
+                cause = "crash"
                 error = task.exception() \
                     if not task.cancelled() else None
-                self.crashes_detected += 1
-                self.metrics.counter(
-                    "service.supervisor.crashes_detected").inc()
-                _logger.warning(
-                    "shard %d worker crashed (%s); recovering",
-                    shard.index,
-                    type(error).__name__ if error else "cancelled")
-                self.events.emit(
-                    EVENT_SHARD_CRASH,
-                    request_id=getattr(shard.claimed, "request_id",
-                                       None),
-                    shard=shard.index,
-                    error=type(error).__name__ if error else "cancelled",
-                    pickups=shard.pickups)
-                with self.tracer.span("supervisor.recover",
-                                      shard=shard.index, cause="crash"):
-                    await self._revive(shard, settle_get=True)
+                self.detect(shard, cause, request_id=request_id,
+                            error=type(error).__name__ if error
+                            else "cancelled")
             elif self._is_hung(shard):
-                self.hangs_detected += 1
-                self.metrics.counter(
-                    "service.supervisor.hangs_detected").inc()
-                _logger.warning(
-                    "shard %d worker hung past the %.3fs deadline; "
-                    "killing and recovering", shard.index,
-                    self.config.hang_deadline_seconds)
-                self.events.emit(
-                    EVENT_SHARD_HANG,
-                    request_id=getattr(shard.claimed, "request_id",
-                                       None),
-                    shard=shard.index,
-                    deadline_seconds=self.config.hang_deadline_seconds,
-                    pickups=shard.pickups)
+                cause = "hang"
+                self.detect(shard, cause, request_id=request_id)
                 task.cancel()
                 try:
                     await task
                 except asyncio.CancelledError:
                     pass
-                with self.tracer.span("supervisor.recover",
-                                      shard=shard.index, cause="hang"):
-                    await self._revive(shard, settle_get=True)
+            else:
+                continue
+            with self.tracer.span("supervisor.recover",
+                                  shard=shard.index, cause=cause):
+                await self._revive(shard)
 
     def _is_hung(self, shard) -> bool:
         if shard.claimed is None:
@@ -198,62 +164,30 @@ class ShardSupervisor:
 
     # -- recovery ----------------------------------------------------------
 
-    async def _revive(self, shard, *, settle_get: bool) -> None:
-        """Requeue the claimed job and restart (or break) the shard.
-
-        ``settle_get`` balances the ``queue.get()`` the dead worker
-        never matched with ``task_done()`` — without it, ``drain()``'s
-        ``queue.join()`` would hang forever on the lost claim.
-        """
-        claimed, shard.claimed = shard.claimed, None
-        if claimed is not None:
-            # put first, then settle: the job is never off-queue and
+    async def _revive(self, shard) -> None:
+        """Requeue the claimed job and restart (or break) the shard."""
+        def requeue(job) -> None:
+            # put first, then settle the queue.get() the dead worker
+            # never matched (drain()'s queue.join() would hang on the
+            # lost claim otherwise): the job is never off-queue and
             # unclaimed at the same time
-            shard.queue.put_nowait(claimed)
-            if settle_get:
-                shard.queue.task_done()
-            self.requeued_jobs += 1
-            self.metrics.counter(
-                "service.supervisor.requeued_jobs").inc()
-        if shard.restarts >= self.config.max_restarts_per_shard:
-            self._open_breaker(shard)
+            shard.queue.put_nowait(job)
+            shard.queue.task_done()
+
+        action = self.recover(shard, requeue)
+        if isinstance(action, OpenBreaker):
+            # terminal degradation: whatever the dead worker left
+            # queued runs inline right now, and so does every later job
+            self.metrics.gauge(
+                f"service.shard.{shard.index}.breaker_open").set(1)
+            self._drain_inline(shard)
             return
-        shard.restarts += 1
-        self.restarts += 1
-        self.metrics.counter("service.supervisor.restarts").inc()
-        delay = self.config.backoff_seconds(shard.restarts)
-        _logger.info("restarting shard %d worker (restart %d/%d, "
-                     "backoff %.3fs)", shard.index, shard.restarts,
-                     self.config.max_restarts_per_shard, delay)
-        self.events.emit(
-            EVENT_SHARD_RESTART, shard=shard.index,
-            restart=shard.restarts,
-            budget=self.config.max_restarts_per_shard,
-            backoff_seconds=delay)
         with self.tracer.span("supervisor.restart", shard=shard.index,
                               restart=shard.restarts,
-                              backoff=delay):
-            if delay > 0:
-                await asyncio.sleep(delay)
+                              backoff=action.delay):
+            if action.delay > 0:
+                await asyncio.sleep(action.delay)
             shard.start()
-
-    def _open_breaker(self, shard) -> None:
-        """Terminal degradation: run everything this shard owns inline."""
-        shard.breaker_open = True
-        shard.breaker_reason = (
-            f"restart budget exhausted "
-            f"({self.config.max_restarts_per_shard} restart(s))")
-        self.breakers_opened += 1
-        self.metrics.counter("service.supervisor.breakers_opened").inc()
-        self.metrics.gauge(
-            f"service.shard.{shard.index}.breaker_open").set(1)
-        _logger.error("shard %d circuit breaker OPEN (%s); degrading "
-                      "to inline sequential execution", shard.index,
-                      shard.breaker_reason)
-        self.events.emit(EVENT_SHARD_BREAKER_OPEN, shard=shard.index,
-                         reason=shard.breaker_reason)
-        # whatever the dead worker left queued runs inline right now
-        self._drain_inline(shard)
 
     def _drain_inline(self, shard) -> None:
         if not shard.queue.qsize():
@@ -275,22 +209,3 @@ class ShardSupervisor:
         if drained:
             self.events.emit(EVENT_SHARD_INLINE_DRAIN,
                              shard=shard.index, jobs=drained)
-
-    def stats(self) -> dict:
-        """Supervision telemetry for ``stats()``/``--stats-out``."""
-        return {
-            "crashes_detected": self.crashes_detected,
-            "hangs_detected": self.hangs_detected,
-            "restarts": self.restarts,
-            "requeued_jobs": self.requeued_jobs,
-            "breakers_opened": self.breakers_opened,
-            "breaker_open_shards": [shard.index
-                                    for shard in self.pool.shards
-                                    if shard.breaker_open],
-            # fleet counters, always zero in-process: no sockets means
-            # nothing to rejoin, fence, or authenticate — present so
-            # the stats shape is uniform across every transport
-            "rejoins": 0,
-            "fenced_replies": 0,
-            "auth_rejected": 0,
-        }

@@ -78,6 +78,9 @@ class Transport:
 
     #: one of :data:`TRANSPORT_KINDS`
     kind = "abstract"
+    #: the :class:`~repro.service.supervision.Supervision` machine
+    #: watching this transport's workers (None until it exists)
+    supervision = None
 
     async def start(self) -> None:
         """Bring up workers; idempotent."""
@@ -106,12 +109,13 @@ class Transport:
         return {}
 
     def supervisor_stats(self) -> dict:
-        """Supervision counters in the ShardSupervisor stats shape."""
-        return {}
+        """The supervision machine's stats ({} before it exists)."""
+        return self.supervision.stats() if self.supervision else {}
 
     def breaker_open_workers(self) -> list:
         """Indices of workers whose circuit breaker is open."""
-        return []
+        return self.supervision.breaker_open_units() \
+            if self.supervision else []
 
     def quarantined_archs(self) -> list:
         """Architectures quarantined in the transport's ops view."""

@@ -42,7 +42,7 @@ class AsyncioTransport(Transport):
         self.service = service
         self.pool: "ShardPool | None" = None
         self.batcher: "CrossRequestBatcher | None" = None
-        self.supervisor: "ShardSupervisor | None" = None
+        self.supervision: "ShardSupervisor | None" = None
 
     async def start(self) -> None:
         service = self.service
@@ -58,11 +58,10 @@ class AsyncioTransport(Transport):
                               metrics=service.metrics,
                               tracer=service.tracer,
                               injector=worker_injector)
-        if config.supervise:
-            self.supervisor = ShardSupervisor(
-                self.pool, config=config.supervisor,
-                metrics=service.metrics, tracer=service.tracer,
-                events=service.events)
+        self.supervision = ShardSupervisor(
+            self.pool, config=config.supervisor,
+            metrics=service.metrics, tracer=service.tracer,
+            events=service.events)
         self.batcher = CrossRequestBatcher(
             self.pool,
             batch_limit=config.batch_limit,
@@ -71,8 +70,7 @@ class AsyncioTransport(Transport):
             tracer=service.tracer,
             events=service.events)
         self.pool.start()
-        if self.supervisor is not None:
-            self.supervisor.start()
+        self.supervision.start()
 
     async def drain(self) -> None:
         if self.batcher is not None:
@@ -82,8 +80,8 @@ class AsyncioTransport(Transport):
             # during the drain still needs its claimed job requeued for
             # the queues to ever empty
             await self.pool.join()
-        if self.supervisor is not None:
-            await self.supervisor.stop()
+        if self.supervision is not None:
+            await self.supervision.stop()
         if self.pool is not None:
             await self.pool.stop()
 
@@ -128,13 +126,6 @@ class AsyncioTransport(Transport):
 
     def batcher_stats(self) -> dict:
         return self.batcher.stats() if self.batcher else {}
-
-    def supervisor_stats(self) -> dict:
-        return self.supervisor.stats() if self.supervisor else {}
-
-    def breaker_open_workers(self) -> list:
-        return [shard.index for shard in self.pool.shards
-                if shard.breaker_open] if self.pool else []
 
     def quarantined_archs(self) -> list:
         return sorted({

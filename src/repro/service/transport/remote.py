@@ -5,9 +5,10 @@ have in common: warm worker slots, wire-frame dispatch, uniform
 supervision, and telemetry relay. Subclasses only provide the channel
 plumbing (:meth:`_spawn` / :meth:`_connect`).
 
-Supervision is deliberately the same state machine as the in-process
-:class:`~repro.service.supervisor.ShardSupervisor` — a dead child
-process or a dropped socket is just another shard crash:
+Supervision is the same code as the in-process
+:class:`~repro.service.supervisor.ShardSupervisor` — both drive the one
+:class:`~repro.service.supervision.Supervision` machine, and a dead
+child process or a dropped socket is just another shard crash:
 
 - **crash** — the channel reaches EOF while an assignment is claimed
   (child killed, pipe closed, socket reset);
@@ -43,11 +44,7 @@ from repro.faults.plan import SITE_WORKER
 from repro.obs.events import (
     EVENT_LEASE_EXPIRED,
     EVENT_LEASE_FENCED,
-    EVENT_SHARD_BREAKER_OPEN,
-    EVENT_SHARD_CRASH,
-    EVENT_SHARD_HANG,
     EVENT_SHARD_INLINE_DRAIN,
-    EVENT_SHARD_RESTART,
     EVENT_VERDICT_ACCEPTED,
     EVENT_WORKER_EXIT,
     EVENT_WORKER_REJOINED,
@@ -57,6 +54,7 @@ from repro.obs.events import (
 from repro.obs.logcfg import get_logger
 from repro.obs.timeseries import registry_from_dict
 from repro.core.units import UnitDag, run_units
+from repro.service.supervision import OpenBreaker, Supervision
 from repro.service.supervisor import SupervisorConfig
 from repro.service.transport import wire
 from repro.service.transport.base import Transport, TransportOutcome
@@ -74,6 +72,30 @@ REMOTE_HANG_DEADLINE_SECONDS = 30.0
 
 #: generous ceiling on worker startup (corpus unpickle + cache prime)
 HELLO_TIMEOUT_SECONDS = 120.0
+
+
+async def wait_within(awaitable, timeout: float):
+    """``await awaitable`` for at most ``timeout`` seconds, raising
+    ``asyncio.TimeoutError`` past it.
+
+    Slot loops wait through this instead of ``asyncio.wait_for``, which
+    before Python 3.12 swallows a cancellation that lands in the tick
+    its awaitable finishes. ``drain()`` stops slot loops by cancelling
+    them, so a worker finishing its HELLO just as the service drained
+    left the loop parked on the empty assignment queue and the drain
+    waiting on it forever.
+    """
+    task = asyncio.ensure_future(awaitable)
+    try:
+        done, _ = await asyncio.wait({task}, timeout=timeout)
+    except asyncio.CancelledError:
+        task.cancel()
+        raise
+    if not done:
+        task.cancel()
+        await asyncio.wait({task})
+        raise asyncio.TimeoutError
+    return task.result()
 
 
 class WorkerSlot:
@@ -150,9 +172,12 @@ class RemoteTransport(Transport):
         config = service.config
         self.jobs = config.jobs if config.jobs else config.shards
         self.start_method = config.start_method
-        self.supervisor_config = config.supervisor or SupervisorConfig(
-            hang_deadline_seconds=REMOTE_HANG_DEADLINE_SECONDS)
         self.slots = [WorkerSlot(index) for index in range(self.jobs)]
+        self.supervision = Supervision(
+            self.slots, config.supervisor or SupervisorConfig(
+                hang_deadline_seconds=REMOTE_HANG_DEADLINE_SECONDS),
+            name=f"{self.kind} worker {{}}", metrics=service.metrics,
+            events=service.events)
         self._pending: "asyncio.Queue[_Assignment]" = None
         self._seq = 0
         self._started = False
@@ -162,24 +187,12 @@ class RemoteTransport(Transport):
         self.inline_jobs = 0
         #: seconds between worker heartbeats (0 = heartbeats off and
         #: the plain hang deadline governs reply waits)
-        self.heartbeat_seconds = float(
-            getattr(config, "heartbeat_seconds", 0.0) or 0.0)
+        self.heartbeat_seconds = config.heartbeat_seconds
         #: lease length: a worker whose last beat is older than this
         #: is declared dead even if its socket still looks open
-        self.lease_seconds = float(
-            getattr(config, "lease_seconds", 0.0) or 0.0)
-        self.hello_timeout = float(
-            getattr(config, "hello_timeout_seconds", None)
-            or HELLO_TIMEOUT_SECONDS)
-        # -- supervisor-shaped counters ------------------------------------
-        self.crashes_detected = 0
-        self.hangs_detected = 0
-        self.restarts = 0
-        self.requeued_jobs = 0
-        self.breakers_opened = 0
-        self.rejoins = 0
-        self.fenced_replies = 0
-        self.auth_rejected = 0
+        self.lease_seconds = config.lease_seconds
+        self.hello_timeout = config.hello_timeout_seconds \
+            or HELLO_TIMEOUT_SECONDS
         #: ops view of arch flakiness across requests (never verdicts)
         self._quarantined: dict[str, str] = {}
 
@@ -299,13 +312,13 @@ class RemoteTransport(Transport):
         while starting burns restart budget like any other crash."""
         while not slot.breaker_open:
             try:
-                await asyncio.wait_for(self._connect(slot),
-                                       timeout=self.hello_timeout)
+                await wait_within(self._connect(slot),
+                                  self.hello_timeout)
                 return
             except (asyncio.TimeoutError, TransportError, OSError):
                 # no rejoin here: we just failed to connect, so a
                 # grace-window wait would only recurse into itself
-                await self._handle_loss(slot, None, cause="crash",
+                await self._handle_loss(slot, "crash",
                                         allow_rejoin=False)
 
     async def _dispatch(self, slot: WorkerSlot,
@@ -323,39 +336,23 @@ class RemoteTransport(Transport):
             assignment.seq, request.request_id, request.commit_id,
             options=request.options, chaos=chaos,
             lease=slot.lease_epoch))
-        deadline = self.supervisor_config.hang_deadline_seconds
         try:
             await slot.channel.send(frame)
             reply = await self._await_reply(slot, assignment.seq)
         except asyncio.TimeoutError:
-            self.hangs_detected += 1
             slot.hangs += 1
-            self.service.metrics.counter(
-                "service.supervisor.hangs_detected").inc()
-            _logger.warning(
-                "%s worker %d hung past the %.3fs deadline; killing "
-                "and recovering", self.kind, slot.index, deadline)
-            self.service.events.emit(
-                EVENT_SHARD_HANG, request_id=request.request_id,
-                shard=slot.index, deadline_seconds=deadline,
-                pickups=slot.pickups)
-            await self._handle_loss(slot, assignment, cause="hang")
+            self.supervision.detect(slot, "hang",
+                                    request_id=request.request_id)
+            await self._handle_loss(slot, "hang")
             return
         except (OSError, TransportError):
             reply = None
         if reply is None:
-            self.crashes_detected += 1
             slot.crashes += 1
-            self.service.metrics.counter(
-                "service.supervisor.crashes_detected").inc()
-            _logger.warning(
-                "%s worker %d lost mid-assignment; recovering",
-                self.kind, slot.index)
-            self.service.events.emit(
-                EVENT_SHARD_CRASH, request_id=request.request_id,
-                shard=slot.index, error="WorkerLostError",
-                pickups=slot.pickups)
-            await self._handle_loss(slot, assignment, cause="crash")
+            self.supervision.detect(slot, "crash",
+                                    request_id=request.request_id,
+                                    error="WorkerLostError")
+            await self._handle_loss(slot, "crash")
             return
         slot.claimed = None
         msg_type, payload = reply
@@ -398,7 +395,7 @@ class RemoteTransport(Transport):
                     horizon = slot.last_heartbeat + self.lease_seconds
                 else:
                     horizon = start + \
-                        self.supervisor_config.hang_deadline_seconds
+                        self.supervision.config.hang_deadline_seconds
                 remaining = horizon - loop.time()
                 if remaining <= 0:
                     task.cancel()
@@ -447,10 +444,8 @@ class RemoteTransport(Transport):
             if msg_type == wire.MSG_VERDICT and \
                     payload.get("lease", slot.lease_epoch) != \
                     slot.lease_epoch:
-                self.fenced_replies += 1
                 slot.fenced += 1
-                self.service.metrics.counter(
-                    "service.transport.fenced_replies").inc()
+                self.supervision.tally("fenced_replies")
                 _logger.warning(
                     "%s worker %d sent a verdict under stale lease "
                     "%r (current %d); fenced", self.kind, slot.index,
@@ -497,9 +492,6 @@ class RemoteTransport(Transport):
                  cause: str) -> None:
         """Put lost work back on the queue (idempotent: pure re-run)."""
         assignment.attempts += 1
-        self.requeued_jobs += 1
-        self.service.metrics.counter(
-            "service.supervisor.requeued_jobs").inc()
         self.service.events.emit(
             EVENT_WORKER_REQUEUE,
             request_id=assignment.request.request_id,
@@ -516,9 +508,7 @@ class RemoteTransport(Transport):
         """
         return False
 
-    async def _handle_loss(self, slot: WorkerSlot,
-                           assignment: "_Assignment | None",
-                           cause: str, *,
+    async def _handle_loss(self, slot: WorkerSlot, cause: str, *,
                            allow_rejoin: bool = True) -> None:
         """Rejoin-or-requeue-then-restart, or open the breaker.
 
@@ -528,74 +518,40 @@ class RemoteTransport(Transport):
         restart budget is burned (the process never died). Everything
         else takes the reap/restart/breaker path unchanged.
         """
-        slot.claimed = None
+        supervision = self.supervision
+
+        def requeue(assignment: _Assignment) -> None:
+            self._requeue(slot, assignment, cause)
+
         if allow_rejoin and cause == "crash" and \
                 await self._try_rejoin(slot):
-            self.rejoins += 1
-            slot.rejoins += 1
-            self.service.metrics.counter(
-                "service.transport.rejoins").inc()
-            _logger.info("%s worker %d rejoined within grace "
-                         "(lease epoch %d)", self.kind, slot.index,
-                         slot.lease_epoch)
+            supervision.rejoin(slot)
             self.service.events.emit(
                 EVENT_WORKER_REJOINED, worker=slot.index,
                 lease=slot.lease_epoch, rejoins=slot.rejoins)
-            if assignment is not None:
-                self._requeue(slot, assignment, cause)
+            supervision.reclaim(slot, requeue)
             return
         await self._reap(slot)
-        if assignment is not None:
-            self._requeue(slot, assignment, cause)
-        if slot.restarts >= self.supervisor_config.\
-                max_restarts_per_shard:
-            self._open_breaker(slot)
+        action = supervision.recover(slot, requeue)
+        if isinstance(action, OpenBreaker):
+            if all(other.breaker_open for other in self.slots) and \
+                    self._inline_task is None:
+                # no workers left anywhere: degrade to running
+                # assignments in the coordinator process —
+                # sequential, but complete
+                self._inline_task = \
+                    asyncio.get_running_loop().create_task(
+                        self._inline_loop(),
+                        name=f"transport-{self.kind}-inline-drain")
             return
-        slot.restarts += 1
-        self.restarts += 1
-        self.service.metrics.counter(
-            "service.supervisor.restarts").inc()
-        delay = self.supervisor_config.backoff_seconds(slot.restarts)
-        _logger.info("restarting %s worker %d (restart %d/%d, "
-                     "backoff %.3fs)", self.kind, slot.index,
-                     slot.restarts,
-                     self.supervisor_config.max_restarts_per_shard,
-                     delay)
-        self.service.events.emit(
-            EVENT_SHARD_RESTART, shard=slot.index,
-            restart=slot.restarts,
-            budget=self.supervisor_config.max_restarts_per_shard,
-            backoff_seconds=delay)
-        if delay > 0:
-            await asyncio.sleep(delay)
+        if action.delay > 0:
+            await asyncio.sleep(action.delay)
         self._spawn(slot)
         self.service.events.emit(
             EVENT_WORKER_SPAWNED, worker=slot.index,
             transport=self.kind, start_method=self.start_method,
             restart=slot.restarts)
         await self._connect_or_recover(slot)
-
-    def _open_breaker(self, slot: WorkerSlot) -> None:
-        slot.breaker_open = True
-        slot.breaker_reason = (
-            f"restart budget exhausted "
-            f"({self.supervisor_config.max_restarts_per_shard} "
-            f"restart(s))")
-        self.breakers_opened += 1
-        self.service.metrics.counter(
-            "service.supervisor.breakers_opened").inc()
-        _logger.error("%s worker %d circuit breaker OPEN (%s)",
-                      self.kind, slot.index, slot.breaker_reason)
-        self.service.events.emit(
-            EVENT_SHARD_BREAKER_OPEN, shard=slot.index,
-            reason=slot.breaker_reason)
-        if all(other.breaker_open for other in self.slots) and \
-                self._inline_task is None:
-            # no workers left anywhere: degrade to running assignments
-            # in the coordinator process — sequential, but complete
-            self._inline_task = asyncio.get_running_loop().create_task(
-                self._inline_loop(), name=f"transport-{self.kind}-"
-                f"inline-drain")
 
     async def _inline_loop(self) -> None:
         while True:
@@ -640,23 +596,10 @@ class RemoteTransport(Transport):
     def shard_stats(self) -> list:
         return [slot.stats() for slot in self.slots]
 
-    def supervisor_stats(self) -> dict:
-        return {
-            "crashes_detected": self.crashes_detected,
-            "hangs_detected": self.hangs_detected,
-            "restarts": self.restarts,
-            "requeued_jobs": self.requeued_jobs,
-            "breakers_opened": self.breakers_opened,
-            "breaker_open_shards": [slot.index for slot in self.slots
-                                    if slot.breaker_open],
-            "rejoins": self.rejoins,
-            "fenced_replies": self.fenced_replies,
-            "auth_rejected": self.auth_rejected,
-        }
-
-    def breaker_open_workers(self) -> list:
-        return [slot.index for slot in self.slots
-                if slot.breaker_open]
+    @property
+    def fenced_replies(self) -> int:
+        """Stale-epoch verdicts fenced across every slot."""
+        return self.supervision.fenced_replies
 
     def quarantined_archs(self) -> list:
         return sorted(self._quarantined)

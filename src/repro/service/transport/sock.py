@@ -43,7 +43,11 @@ from repro.obs.events import (
 )
 from repro.obs.logcfg import get_logger
 from repro.service.transport import wire
-from repro.service.transport.remote import RemoteTransport, WorkerSlot
+from repro.service.transport.remote import (
+    RemoteTransport,
+    WorkerSlot,
+    wait_within,
+)
 from repro.service.transport.worker import socket_worker_main
 
 _logger = get_logger("service.transport")
@@ -239,9 +243,7 @@ class SocketTransport(RemoteTransport):
         payload = message[1]
         if not wire.verify_auth(self.auth_key, nonce,
                                 payload.get("auth", "")):
-            self.auth_rejected += 1
-            self.service.metrics.counter(
-                "service.transport.auth_rejected").inc()
+            self.supervision.tally("auth_rejected")
             _logger.warning(
                 "socket worker pid %s failed the auth handshake; "
                 "rejected", payload.get("pid"))
@@ -319,8 +321,8 @@ class SocketTransport(RemoteTransport):
         slot._connected = asyncio.get_running_loop().create_future()
         slot._handshaking = False
         try:
-            await asyncio.wait_for(self._connect(slot),
-                                   timeout=self.reconnect_grace)
+            await wait_within(self._connect(slot),
+                              self.reconnect_grace)
         except asyncio.TimeoutError:
             return False
         return True

@@ -1,17 +1,18 @@
-"""The deprecated pre-``repro.api`` entry points: warn but still work.
+"""The pre-``repro.api`` entry points are gone; the new names are quiet.
 
-Every test scopes ``-W error::DeprecationWarning`` locally, so the new
-names are proven warning-free under the strictest filter while the old
-names are proven to (a) warn and (b) keep behaving identically.
+The ``JMake``/``EvaluationRunner`` aliases and the module forwarders
+that once served the store and watch types from ``repro.journal`` and
+``repro.service`` were deleted. The old spellings now fail like any
+unknown name, and the supported names stay warning-free under
+``-W error::DeprecationWarning``.
 """
 
+import importlib
 import warnings
 
 import pytest
 
 from repro import api
-from repro.core.jmake import JMake
-from repro.evalsuite.runner import EvaluationRunner
 
 
 @pytest.fixture
@@ -21,35 +22,31 @@ def strict_deprecations():
         yield
 
 
-class TestOldNamesWarn:
-    def test_jmake_constructor_warns(self):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.api.CheckSession"):
-            JMake()
-
-    def test_jmake_from_generated_tree_warns(self):
-        tree = api.generate_tree()
-        with pytest.warns(DeprecationWarning):
-            JMake.from_generated_tree(tree)
-
-    def test_evaluation_runner_warns(self, small_corpus):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.api.EvaluationSession"):
-            EvaluationRunner(small_corpus)
+class TestOldNamesAreGone:
+    @pytest.mark.parametrize("module", [
+        "repro", "repro.api", "repro.core", "repro.core.jmake",
+        "repro.evalsuite", "repro.evalsuite.runner"])
+    def test_jmake_and_evaluation_runner_are_gone(self, module):
+        package = importlib.import_module(module)
+        for name in ("JMake", "EvaluationRunner"):
+            with pytest.raises(AttributeError):
+                getattr(package, name)
+            assert name not in getattr(package, "__all__", ())
 
 
 class TestDisplacedModuleAttributes:
     """Store/watch types that briefly lived on repro.journal and
-    repro.service: the old spellings warn and forward to the
-    canonical objects."""
+    repro.service: the old spellings are gone, the facade serves
+    them."""
 
-    def test_service_watch_names_warn_and_forward(self):
+    @pytest.mark.parametrize("name", [
+        "SyntheticTrafficSource", "WatchConfig", "WatchResult",
+        "WatchSession", "WindowSource"])
+    def test_service_watch_names_are_gone(self, name):
         import repro.service as service
-        with pytest.warns(DeprecationWarning,
-                          match="repro.service.WatchSession is "
-                                "deprecated"):
-            displaced = service.WatchSession
-        assert displaced is api.WatchSession
+        with pytest.raises(AttributeError):
+            getattr(service, name)
+        assert hasattr(api, name)
 
     def test_service_watch_submodule_is_not_shimmed(self):
         # repro.service.watch names the submodule (Python binds it on
@@ -62,19 +59,14 @@ class TestDisplacedModuleAttributes:
             module = service.watch
         assert module.WatchSession is api.WatchSession
 
-    def test_journal_store_names_warn_and_forward(self):
+    @pytest.mark.parametrize("name", [
+        "IngestResult", "StoredVerdict", "VerdictFilter",
+        "VerdictStore", "ingest_ledger"])
+    def test_journal_store_names_are_gone(self, name):
         import repro.journal as journal
-        with pytest.warns(DeprecationWarning,
-                          match="repro.journal.VerdictStore is "
-                                "deprecated"):
-            displaced = journal.VerdictStore
-        assert displaced is api.VerdictStore
-
-    def test_journal_ingest_ledger_warns(self):
-        import repro.journal as journal
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            displaced = journal.ingest_ledger
-        assert displaced is api.ingest_ledger
+        with pytest.raises(AttributeError):
+            getattr(journal, name)
+        assert hasattr(api, name)
 
     def test_unknown_attributes_still_raise(self):
         import repro.journal as journal
@@ -83,21 +75,6 @@ class TestDisplacedModuleAttributes:
             journal.NoSuchThing
         with pytest.raises(AttributeError):
             service.NoSuchThing
-
-
-class TestOldNamesStillWork:
-    def test_jmake_is_a_check_session(self):
-        with pytest.warns(DeprecationWarning):
-            session = JMake()
-        assert isinstance(session, api.CheckSession)
-
-    def test_runner_verdicts_match_session(self, small_corpus):
-        with pytest.warns(DeprecationWarning):
-            runner = EvaluationRunner(small_corpus)
-        old = runner.run(limit=2, use_ground_truth_janitors=True)
-        new = api.EvaluationSession(small_corpus).run(
-            limit=2, use_ground_truth_janitors=True)
-        assert old.canonical_records() == new.canonical_records()
 
 
 class TestNewNamesAreQuiet:
